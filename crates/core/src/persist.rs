@@ -565,11 +565,21 @@ impl<D: DiskManager> StoredDb<D> {
 
     /// Fetch an element's content through the heap (page-cost-bearing).
     pub fn fetch_content(&self, n: McNodeId) -> mct_storage::Result<Option<String>> {
+        self.with_content(n, str::to_owned)
+    }
+
+    /// Run `f` over an element's content in place, under its heap
+    /// page's read lock (same page cost as [`StoredDb::fetch_content`],
+    /// no copy). `None` when the element has no content.
+    pub fn with_content<R>(
+        &self,
+        n: McNodeId,
+        f: impl FnOnce(&str) -> R,
+    ) -> mct_storage::Result<Option<R>> {
         match self.content_rid.get(n.index()).copied().flatten() {
-            Some(rid) => {
-                let rec = self.content_heap.get(&self.pool, rid)?;
-                Ok(Some(decode_content(&rec).1))
-            }
+            Some(rid) => self.content_heap.with_record(&self.pool, rid, |rec| {
+                Some(f(&String::from_utf8_lossy(&rec[4..])))
+            }),
             None => Ok(None),
         }
     }
@@ -577,10 +587,9 @@ impl<D: DiskManager> StoredDb<D> {
     /// Fetch an element's attributes through the heap.
     pub fn fetch_attrs(&self, n: McNodeId) -> mct_storage::Result<Vec<(String, String)>> {
         match self.attr_rid.get(n.index()).copied().flatten() {
-            Some(rid) => {
-                let rec = self.attr_heap.get(&self.pool, rid)?;
-                Ok(decode_attrs(&rec, &self.db))
-            }
+            Some(rid) => self
+                .attr_heap
+                .with_record(&self.pool, rid, |rec| decode_attrs(rec, &self.db)),
             None => Ok(Vec::new()),
         }
     }
@@ -598,8 +607,14 @@ impl<D: DiskManager> StoredDb<D> {
         else {
             return Ok(None);
         };
-        let rec = self.struct_heaps[to.index()].get(&self.pool, unpack_rid(packed))?;
-        Ok(Some(IntervalCode::from_bytes(&rec[..10])))
+        self.struct_heaps[to.index()]
+            .with_record(&self.pool, unpack_rid(packed), |rec| {
+                rec.get(..10).map(IntervalCode::from_bytes)
+            })?
+            .ok_or(mct_storage::StorageError::Corrupt(
+                "structural record truncated",
+            ))
+            .map(Some)
     }
 
     /// Direct in-memory color link (the "more sophisticated

@@ -24,7 +24,7 @@
 
 use crate::ops::{self, Rel, Tuple};
 use mct_core::{ColorId, StoredDb, StructRef};
-use mct_storage::{DiskManager, StorageError};
+use mct_storage::{DiskManager, PoolStats, StorageError};
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -131,7 +131,9 @@ pub fn chunk_ranges(len: usize, threads: usize) -> Vec<Range<usize>> {
 /// `threads` scoped worker threads, returning the chunk outputs in
 /// chunk order. On failure the error of the lowest-indexed failing
 /// chunk is returned; workers stop claiming new morsels as soon as any
-/// chunk fails.
+/// chunk fails. The workers' buffer-pool traffic is credited to the
+/// calling thread's tally ([`PoolStats::this_thread`]), so per-request
+/// page counts include it.
 pub fn run_morsels<R, E, F>(threads: usize, chunks: usize, work: F) -> Result<Vec<R>, E>
 where
     R: Send,
@@ -145,6 +147,7 @@ where
     let cursor = AtomicUsize::new(0);
     let failed = AtomicBool::new(false);
     let done: Mutex<Vec<(usize, Result<R, E>)>> = Mutex::new(Vec::with_capacity(chunks));
+    let traffic = Mutex::new(PoolStats::default());
     // Forward the serving layer's request tag (thread-local) into the
     // workers, so spans and diagnostics emitted inside a morsel still
     // name the request they run for.
@@ -153,6 +156,7 @@ where
         for _ in 0..threads {
             scope.spawn(|| {
                 let _req = mct_obs::trace::request_scope(request_id);
+                let mark = PoolStats::this_thread();
                 let mut local = Vec::new();
                 loop {
                     if failed.load(Ordering::Relaxed) {
@@ -171,9 +175,12 @@ where
                 done.lock()
                     .unwrap_or_else(PoisonError::into_inner)
                     .extend(local);
+                *traffic.lock().unwrap_or_else(PoisonError::into_inner) +=
+                    PoolStats::this_thread() - mark;
             });
         }
     });
+    PoolStats::credit_this_thread(traffic.into_inner().unwrap_or_else(PoisonError::into_inner));
     let mut results = done.into_inner().unwrap_or_else(PoisonError::into_inner);
     results.sort_by_key(|(i, _)| *i);
     // Every claimed chunk produced a result and claims are sequential,
@@ -206,12 +213,9 @@ pub fn cross_tree_op_par<D: DiskManager>(
         return ops::cross_tree_op(s, input, col, to);
     }
     let _span = mct_obs::trace::span("crosstree.op_par");
-    let calls = mct_obs::counter("query.crosstree.calls");
-    let input_rows = mct_obs::counter("query.crosstree.input_rows");
-    let output_rows = mct_obs::counter("query.crosstree.output_rows");
-    let transitions = mct_obs::counter("query.crosstree.transitions");
-    calls.inc();
-    input_rows.add(input.len() as u64);
+    let c = ops::crosstree_counters();
+    c.calls.inc();
+    c.input_rows.add(input.len() as u64);
     let ranges = chunk_ranges(input.len(), threads);
     let chunks = run_morsels(threads, ranges.len(), |ci| {
         check_cancel(cancel)?;
@@ -225,12 +229,12 @@ pub fn cross_tree_op_par<D: DiskManager>(
             }
         }
         // Per-worker delta, merged into the shared atomic per chunk.
-        transitions.add(out.len() as u64);
+        c.transitions.add(out.len() as u64);
         Ok::<_, mct_storage::StorageError>(out)
     })?;
     let mut out: Vec<Tuple> = chunks.into_iter().flatten().collect();
     out.sort_by_key(|t| t[col].code.start);
-    output_rows.add(out.len() as u64);
+    c.output_rows.add(out.len() as u64);
     Ok(out)
 }
 

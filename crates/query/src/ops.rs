@@ -377,6 +377,28 @@ pub fn nl_join_cmp<D: DiskManager>(
     Ok(out)
 }
 
+/// Handles for the `query.crosstree.*` counters, resolved once and
+/// shared by the sequential and parallel color-transition operators.
+/// The names are mct_core's bulk cross_tree_join's, so the registry
+/// hands back the same counters and every color transition lands in
+/// one place regardless of entry point.
+pub(crate) struct CrossTreeCounters {
+    pub(crate) calls: mct_obs::Counter,
+    pub(crate) input_rows: mct_obs::Counter,
+    pub(crate) output_rows: mct_obs::Counter,
+    pub(crate) transitions: mct_obs::Counter,
+}
+
+pub(crate) fn crosstree_counters() -> &'static CrossTreeCounters {
+    static C: std::sync::OnceLock<CrossTreeCounters> = std::sync::OnceLock::new();
+    C.get_or_init(|| CrossTreeCounters {
+        calls: mct_obs::counter("query.crosstree.calls"),
+        input_rows: mct_obs::counter("query.crosstree.input_rows"),
+        output_rows: mct_obs::counter("query.crosstree.output_rows"),
+        transitions: mct_obs::counter("query.crosstree.transitions"),
+    })
+}
+
 /// The color-transition operator: replace column `col`'s structural
 /// reference with its counterpart in color `to` (dropping tuples whose
 /// node lacks the color), then re-sort by that column. Uses the
@@ -387,22 +409,7 @@ pub fn cross_tree_op<D: DiskManager>(
     col: usize,
     to: ColorId,
 ) -> mct_storage::Result<Vec<Tuple>> {
-    // Same metric names as mct_core's bulk cross_tree_join — the
-    // registry hands back the shared counters, so every color
-    // transition lands in query.crosstree.* regardless of entry point.
-    struct Counters {
-        calls: mct_obs::Counter,
-        input_rows: mct_obs::Counter,
-        output_rows: mct_obs::Counter,
-        transitions: mct_obs::Counter,
-    }
-    static COUNTERS: std::sync::OnceLock<Counters> = std::sync::OnceLock::new();
-    let c = COUNTERS.get_or_init(|| Counters {
-        calls: mct_obs::counter("query.crosstree.calls"),
-        input_rows: mct_obs::counter("query.crosstree.input_rows"),
-        output_rows: mct_obs::counter("query.crosstree.output_rows"),
-        transitions: mct_obs::counter("query.crosstree.transitions"),
-    });
+    let c = crosstree_counters();
     let _span = mct_obs::trace::span("crosstree.op");
     c.calls.inc();
     c.input_rows.add(input.len() as u64);
@@ -431,10 +438,8 @@ pub fn select_contains<D: DiskManager>(
 ) -> mct_storage::Result<Vec<Tuple>> {
     let mut out = Vec::new();
     for t in input {
-        if let Some(content) = s.fetch_content(t[col].node)? {
-            if content.contains(needle) {
-                out.push(t);
-            }
+        if s.with_content(t[col].node, |c| c.contains(needle))? == Some(true) {
+            out.push(t);
         }
     }
     Ok(out)
@@ -449,7 +454,7 @@ pub fn select_content_eq<D: DiskManager>(
 ) -> mct_storage::Result<Vec<Tuple>> {
     let mut out = Vec::new();
     for t in input {
-        if s.fetch_content(t[col].node)?.as_deref() == Some(value) {
+        if s.with_content(t[col].node, |c| c == value)? == Some(true) {
             out.push(t);
         }
     }
@@ -464,14 +469,11 @@ pub fn select_number_cmp<D: DiskManager>(
     cmp: NumCmp,
     k: f64,
 ) -> mct_storage::Result<Vec<Tuple>> {
+    let hit = |c: &str| c.trim().parse::<f64>().is_ok_and(|v| cmp.test(v, k));
     let mut out = Vec::new();
     for t in input {
-        if let Some(content) = s.fetch_content(t[col].node)? {
-            if let Ok(v) = content.trim().parse::<f64>() {
-                if cmp.test(v, k) {
-                    out.push(t);
-                }
-            }
+        if s.with_content(t[col].node, hit)? == Some(true) {
+            out.push(t);
         }
     }
     Ok(out)
@@ -563,8 +565,8 @@ fn fetch_numbers<D: DiskManager>(
     let mut out = Vec::with_capacity(tuples.len());
     for t in tuples {
         let v = s
-            .fetch_content(t[col].node)?
-            .and_then(|c| c.trim().parse::<f64>().ok());
+            .with_content(t[col].node, |c| c.trim().parse::<f64>().ok())?
+            .flatten();
         out.push(v);
     }
     Ok(out)

@@ -107,6 +107,20 @@ enum CompiledPred {
     AttrEq { name: String, value: String },
 }
 
+/// Handles for `query.plan.*`, resolved once instead of per execution.
+struct PlanCounters {
+    executions: mct_obs::Counter,
+    rows: mct_obs::Counter,
+}
+
+fn plan_counters() -> &'static PlanCounters {
+    static C: std::sync::OnceLock<PlanCounters> = std::sync::OnceLock::new();
+    C.get_or_init(|| PlanCounters {
+        executions: mct_obs::counter("query.plan.executions"),
+        rows: mct_obs::counter("query.plan.rows"),
+    })
+}
+
 /// Per-operator measurements from one EXPLAIN ANALYZE execution.
 #[derive(Debug, Clone)]
 pub struct StageStats {
@@ -118,7 +132,9 @@ pub struct StageStats {
     pub rows_out: u64,
     /// Wall-clock time spent in the stage.
     pub elapsed: Duration,
-    /// Buffer-pool counters accumulated during the stage.
+    /// Buffer-pool traffic of this execution during the stage: the
+    /// executing thread's tally ([`PoolStats::this_thread`]) plus its
+    /// morsel workers', so concurrent queries do not inflate it.
     pub pool: PoolStats,
 }
 
@@ -130,7 +146,8 @@ pub struct AnalyzeReport {
     pub stages: Vec<StageStats>,
     /// Total execution wall-clock time.
     pub total: Duration,
-    /// Buffer-pool counters accumulated over the whole execution.
+    /// Buffer-pool traffic of the whole execution (counted as for
+    /// [`StageStats::pool`]).
     pub pool: PoolStats,
     /// Final result cardinality.
     pub rows: u64,
@@ -289,13 +306,13 @@ impl PathPlan {
     ) -> mct_storage::Result<(Vec<Tuple>, AnalyzeReport)> {
         self.check_clean(s)?;
         let labels = self.labels(s);
-        let pool_mark = s.pool.stats();
+        let pool_mark = PoolStats::this_thread();
         let t0 = Instant::now();
         let (tuples, stages) = self.run_shared(s, Some(&labels), threads, cancel)?;
         let report = AnalyzeReport {
             stages,
             total: t0.elapsed(),
-            pool: s.pool.stats().delta_since(&pool_mark),
+            pool: PoolStats::this_thread().delta_since(&pool_mark),
             rows: tuples.len() as u64,
         };
         Ok((tuples, report))
@@ -346,20 +363,20 @@ impl PathPlan {
 
     /// [`PathPlan::execute_analyze`] with `threads` morsel workers:
     /// per-stage wall clock then reflects the parallel operators, and
-    /// pool deltas aggregate the page traffic of every worker.
+    /// pool counts include the page traffic of every worker.
     pub fn execute_analyze_parallel<D: DiskManager>(
         &self,
         s: &mut StoredDb<D>,
         threads: usize,
     ) -> mct_storage::Result<(Vec<Tuple>, AnalyzeReport)> {
         let labels = self.labels(s);
-        let pool_mark = s.pool.stats();
+        let pool_mark = PoolStats::this_thread();
         let t0 = Instant::now();
         let (tuples, stages) = self.run(s, Some(&labels), threads)?;
         let report = AnalyzeReport {
             stages,
             total: t0.elapsed(),
-            pool: s.pool.stats().delta_since(&pool_mark),
+            pool: PoolStats::this_thread().delta_since(&pool_mark),
             rows: tuples.len() as u64,
         };
         Ok((tuples, report))
@@ -395,7 +412,8 @@ impl PathPlan {
         threads: usize,
         cancel: Option<&CancelToken>,
     ) -> mct_storage::Result<(Vec<Tuple>, Vec<StageStats>)> {
-        mct_obs::counter("query.plan.executions").inc();
+        let counters = plan_counters();
+        counters.executions.inc();
         let mut collected = Vec::new();
         let mut current: Option<Vec<Tuple>> = None;
         for (i, st) in self.stages.iter().enumerate() {
@@ -408,7 +426,7 @@ impl PathPlan {
                 Stage::DupElim => "plan.dup_elim",
             });
             let rows_in = current.as_ref().map_or(0, Vec::len) as u64;
-            let mark = labels.map(|_| (s.pool.stats(), Instant::now()));
+            let mark = labels.map(|_| (PoolStats::this_thread(), Instant::now()));
             current = Some(match st {
                 Stage::ContentEntry { color, tag, child_tag, value } => {
                     let hits = s.content_lookup(value)?;
@@ -498,14 +516,14 @@ impl PathPlan {
                 Stage::DupElim => dup_elim(current.take().unwrap_or_default(), &[0]),
             });
             let rows_out = current.as_ref().map_or(0, Vec::len) as u64;
-            mct_obs::counter("query.plan.rows").add(rows_out);
+            counters.rows.add(rows_out);
             if let (Some(labels), Some((pool_mark, stage_t0))) = (labels, mark) {
                 collected.push(StageStats {
                     label: labels[i].clone(),
                     rows_in,
                     rows_out,
                     elapsed: stage_t0.elapsed(),
-                    pool: s.pool.stats().delta_since(&pool_mark),
+                    pool: PoolStats::this_thread().delta_since(&pool_mark),
                 });
             }
         }
@@ -607,11 +625,9 @@ fn filter_by_child<D: DiskManager>(
             .collect();
         let mut hit = false;
         for ch in kids {
-            if let Some(content) = s.fetch_content(ch)? {
-                if test(&content) {
-                    hit = true;
-                    break;
-                }
+            if s.with_content(ch, &test)? == Some(true) {
+                hit = true;
+                break;
             }
         }
         if hit {

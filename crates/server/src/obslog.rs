@@ -84,10 +84,10 @@ pub struct RequestRecord {
     pub rows: u64,
     /// End-to-end handler latency.
     pub latency: Duration,
-    /// Buffer-pool hits attributable to this request (approximate
-    /// under concurrency — global-counter delta).
+    /// Buffer-pool hits this request made, its morsel workers'
+    /// included (the handling thread's [`mct_storage::PoolStats`] tally).
     pub pool_hits: u64,
-    /// Buffer-pool misses attributable to this request (same caveat).
+    /// Buffer-pool misses this request made (counted the same way).
     pub pool_misses: u64,
     /// Which executor ran the request.
     pub exec: ExecKind,

@@ -51,7 +51,7 @@ use mct_query::{
     eval, execute_update_with, parse_query, parse_update, CancelToken, EvalContext, EvalError,
     Expr, PlanError,
 };
-use mct_storage::{DiskManager, StorageError};
+use mct_storage::{DiskManager, PoolStats, StorageError};
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -208,11 +208,6 @@ pub struct ObsState {
     pub start_unix: u64,
     /// `server.uptime_seconds`, refreshed on each `/metrics` scrape.
     uptime: Gauge,
-    /// Global `storage.pool.hits` — read around each request to
-    /// estimate per-request pool traffic.
-    pool_hits: Counter,
-    /// Global `storage.pool.misses` (same use).
-    pool_misses: Counter,
 }
 
 impl ObsState {
@@ -389,8 +384,6 @@ where
             started: Instant::now(),
             start_unix,
             uptime: mct_obs::gauge("server.uptime_seconds"),
-            pool_hits: mct_obs::counter("storage.pool.hits"),
-            pool_misses: mct_obs::counter("storage.pool.misses"),
         },
         cfg,
     });
@@ -536,11 +529,10 @@ pub fn handle_request<D: DiskManager>(state: &AppState<D>, req: &Request) -> Res
     let id = state.obs.next_id();
     let _tag = mct_obs::trace::request_scope(id);
     let mut ctx = RequestCtx::new(id, &req.method, &req.path);
-    // Per-request pool traffic as a global-counter delta: exact when
-    // the request runs alone, approximate (overlapping requests'
-    // traffic bleeds in) under concurrency. Cheap — two relaxed loads —
-    // which is the right trade for a per-request log field.
-    let pool_mark = (state.obs.pool_hits.get(), state.obs.pool_misses.get());
+    // Per-request pool traffic from this thread's tally, which also
+    // receives its morsel workers' share: overlapping requests on
+    // other workers do not bleed in.
+    let pool_mark = PoolStats::this_thread();
     let t0 = Instant::now();
 
     let result = catch_unwind(AssertUnwindSafe(|| route(state, req, &mut ctx)));
@@ -549,8 +541,9 @@ pub fn handle_request<D: DiskManager>(state: &AppState<D>, req: &Request) -> Res
     ctx.record.latency = t0.elapsed();
     ctx.record.ts_ms = mct_obs::unix_ms();
     ctx.record.status = resp.status;
-    ctx.record.pool_hits = state.obs.pool_hits.get().saturating_sub(pool_mark.0);
-    ctx.record.pool_misses = state.obs.pool_misses.get().saturating_sub(pool_mark.1);
+    let pool = PoolStats::this_thread() - pool_mark;
+    ctx.record.pool_hits = pool.hits;
+    ctx.record.pool_misses = pool.misses;
 
     if let Some(log) = &state.obs.request_log {
         log.write(&ctx.record);

@@ -67,15 +67,18 @@ use crate::page::{
 use crate::wal::Wal;
 use crate::Result;
 use mct_obs::Counter;
+use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Hit/miss/eviction counters. Lifetime totals — they are never
-/// reset; per-query consumers take a [`BufferPool::stats`] mark
-/// before the query and diff with [`PoolStats::delta_since`] after,
-/// so EXPLAIN ANALYZE and bench reports can coexist without
-/// clobbering each other.
+/// reset; consumers take a mark before the work and diff with
+/// [`PoolStats::delta_since`] after, so EXPLAIN ANALYZE and bench
+/// reports can coexist without clobbering each other. The mark is of
+/// one pool ([`BufferPool::stats`]) or of the calling thread
+/// ([`PoolStats::this_thread`]), which is what a per-query count under
+/// concurrency needs.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolStats {
     /// Page requests served from a resident frame.
@@ -110,6 +113,22 @@ impl PoolStats {
     pub fn accesses(&self) -> u64 {
         self.hits + self.misses
     }
+
+    /// The page traffic the calling thread has generated against any
+    /// pool in the process, plus what [`PoolStats::credit_this_thread`]
+    /// folded in. Lifetime totals, diffed like [`BufferPool::stats`];
+    /// unlike those pool-wide counters, a delta of this tally holds no
+    /// other thread's work, so a query running next to others still
+    /// sees only its own pages.
+    pub fn this_thread() -> PoolStats {
+        THREAD_STATS.with(Cell::get)
+    }
+
+    /// Add `delta`, traffic a helper thread generated on the calling
+    /// thread's behalf, to the calling thread's tally.
+    pub fn credit_this_thread(delta: PoolStats) {
+        note_thread(|s| *s += delta);
+    }
 }
 
 impl std::ops::Sub for PoolStats {
@@ -117,6 +136,39 @@ impl std::ops::Sub for PoolStats {
     fn sub(self, mark: PoolStats) -> PoolStats {
         self.delta_since(&mark)
     }
+}
+
+impl std::ops::AddAssign for PoolStats {
+    fn add_assign(&mut self, other: PoolStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.evictions += other.evictions;
+        self.writebacks += other.writebacks;
+        self.corrupt_reads += other.corrupt_reads;
+        self.io_errors += other.io_errors;
+    }
+}
+
+thread_local! {
+    /// The calling thread's share of every pool's counters.
+    static THREAD_STATS: Cell<PoolStats> = const {
+        Cell::new(PoolStats {
+            hits: 0,
+            misses: 0,
+            evictions: 0,
+            writebacks: 0,
+            corrupt_reads: 0,
+            io_errors: 0,
+        })
+    };
+}
+
+fn note_thread(bump: impl FnOnce(&mut PoolStats)) {
+    THREAD_STATS.with(|c| {
+        let mut s = c.get();
+        bump(&mut s);
+        c.set(s);
+    });
 }
 
 /// Global-registry handles mirroring [`PoolStats`], shared by every
@@ -161,7 +213,8 @@ fn txn_counters() -> &'static TxnCounters {
 }
 
 /// Per-pool atomic counters (the `&self` twin of [`PoolStats`]); every
-/// bump also feeds the process-wide `mct-obs` registry.
+/// bump also feeds the process-wide `mct-obs` registry and the calling
+/// thread's tally ([`PoolStats::this_thread`]).
 #[derive(Default)]
 struct SharedStats {
     hits: AtomicU64,
@@ -187,26 +240,31 @@ impl SharedStats {
     fn hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
         pool_counters().hits.inc();
+        note_thread(|s| s.hits += 1);
     }
 
     fn miss(&self) {
         self.misses.fetch_add(1, Ordering::Relaxed);
         pool_counters().misses.inc();
+        note_thread(|s| s.misses += 1);
     }
 
     fn eviction(&self) {
         self.evictions.fetch_add(1, Ordering::Relaxed);
         pool_counters().evictions.inc();
+        note_thread(|s| s.evictions += 1);
     }
 
     fn writeback(&self) {
         self.writebacks.fetch_add(1, Ordering::Relaxed);
         pool_counters().writebacks.inc();
+        note_thread(|s| s.writebacks += 1);
     }
 
     fn corrupt_read(&self) {
         self.corrupt_reads.fetch_add(1, Ordering::Relaxed);
         pool_counters().corrupt_reads.inc();
+        note_thread(|s| s.corrupt_reads += 1);
     }
 
     /// Record the I/O-error metric when `e` is [`StorageError::Io`].
@@ -214,6 +272,7 @@ impl SharedStats {
         if matches!(e, StorageError::Io(_)) {
             self.io_errors.fetch_add(1, Ordering::Relaxed);
             pool_counters().io_errors.inc();
+            note_thread(|s| s.io_errors += 1);
         }
     }
 }
@@ -1095,6 +1154,30 @@ mod tests {
         p.evict_all().unwrap();
         p.with_page(id, |_| ()).unwrap();
         assert_eq!(p.stats().delta_since(&mark).misses, 1, "cold read after evict_all");
+    }
+
+    #[test]
+    fn thread_tally_holds_only_the_calling_threads_traffic() {
+        let p = tiny_pool();
+        let id = p.allocate().unwrap();
+        let mark = PoolStats::this_thread();
+        let helper = std::thread::scope(|s| {
+            s.spawn(|| {
+                let helper_mark = PoolStats::this_thread();
+                for _ in 0..5 {
+                    p.with_page(id, |_| ()).unwrap();
+                }
+                PoolStats::this_thread() - helper_mark
+            })
+            .join()
+            .unwrap()
+        });
+        assert_eq!(helper.hits, 5);
+        p.with_page(id, |_| ()).unwrap();
+        assert_eq!((PoolStats::this_thread() - mark).hits, 1, "helper excluded");
+        PoolStats::credit_this_thread(helper);
+        assert_eq!((PoolStats::this_thread() - mark).hits, 6, "helper credited");
+        assert_eq!(p.stats().hits, 6, "the pool-wide counters see both");
     }
 
     #[test]

@@ -147,14 +147,24 @@ impl HeapFile {
         pool: &BufferPool<D>,
         id: RecordId,
     ) -> Result<Vec<u8>> {
+        self.with_record(pool, id, <[u8]>::to_vec)
+    }
+
+    /// Run `f` over a record in place, under its page's read lock (so
+    /// `f` must not call back into the pool). Errors with
+    /// [`StorageError::RecordNotFound`] for a missing or deleted slot.
+    pub fn with_record<D: DiskManager, R>(
+        &self,
+        pool: &BufferPool<D>,
+        id: RecordId,
+        f: impl FnOnce(&[u8]) -> R,
+    ) -> Result<R> {
         heap_counters().reads.inc();
-        let data = pool.with_page(id.page, |buf| {
-            SlottedRead::new(buf).get(id.slot).map(|d| d.to_vec())
-        })?;
-        data.ok_or(StorageError::RecordNotFound {
-            page: id.page.0,
-            slot: id.slot,
-        })
+        pool.with_page(id.page, |buf| SlottedRead::new(buf).get(id.slot).map(f))?
+            .ok_or(StorageError::RecordNotFound {
+                page: id.page.0,
+                slot: id.slot,
+            })
     }
 
     /// Overwrite a record. Prefers in-place update; if the page cannot
@@ -252,6 +262,27 @@ mod tests {
         let id = h.insert(&p, b"record one").unwrap();
         assert_eq!(h.get(&p, id).unwrap(), b"record one");
         assert_eq!(h.record_count(), 1);
+    }
+
+    #[test]
+    fn with_record_reads_in_place_and_reports_missing_slots() {
+        let p = pool();
+        let mut h = HeapFile::new();
+        let id = h.insert(&p, b"abcdefghij").unwrap();
+        assert_eq!(h.with_record(&p, id, |r| r[..3].to_vec()).unwrap(), b"abc");
+        let missing = RecordId {
+            page: id.page,
+            slot: id.slot + 1,
+        };
+        assert!(matches!(
+            h.with_record(&p, missing, |r| r.len()),
+            Err(StorageError::RecordNotFound { page, slot }) if page == id.page.0 && slot == id.slot + 1
+        ));
+        h.delete(&p, id).unwrap();
+        assert!(matches!(
+            h.with_record(&p, id, |r| r.len()),
+            Err(StorageError::RecordNotFound { .. })
+        ));
     }
 
     #[test]

@@ -13,6 +13,12 @@ cargo test --workspace --offline -q
 echo "==> clippy (-D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+echo "==> benchmark (mctbench, its own workspace): tests + 2-second read-hot smoke"
+cargo test --release --offline --manifest-path mctbench/Cargo.toml
+cargo run --release --offline --quiet --manifest-path mctbench/Cargo.toml -- \
+    --workload read-hot --seed 1 --seconds 2 --trace 0 | tail -n 1 | grep -q '"correct":true' \
+    || { echo "FAIL: mctbench read-hot smoke replied incorrectly"; exit 1; }
+
 echo "==> mctq --analyze smoke run"
 ANALYZE_QUERY='document("t")/{cust}descendant::order[{cust}child::status = "SHIPPED"]/{cust}child::orderline/{auth}parent::item'
 analyze_out=$(cargo run --release --offline --bin mctq -- \

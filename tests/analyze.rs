@@ -1,10 +1,11 @@
 //! EXPLAIN ANALYZE integration tests against the TPC-W MCT database:
 //! the per-operator actuals must agree with the real result
-//! cardinality, a warm re-run must hit only the buffer pool, and the
-//! ANALYZE tree must share the EXPLAIN renderer's shape.
+//! cardinality, a warm re-run must hit only the buffer pool, page
+//! counts must not pick up concurrent queries' pages, and the ANALYZE
+//! tree must share the EXPLAIN renderer's shape.
 
 use colorful_xml::core::StoredDb;
-use colorful_xml::query::plan::{plan_path, PathPlan};
+use colorful_xml::query::plan::{plan_path, AnalyzeReport, PathPlan};
 use colorful_xml::query::Expr;
 use colorful_xml::query::{parse_query, Tuple};
 use colorful_xml::workloads::{TpcwConfig, TpcwData};
@@ -91,4 +92,45 @@ fn analyze_render_shares_the_explain_tree_shape() {
     // The shared renderer keeps the documented indentation scheme.
     assert!(explain_lines[1].starts_with("└─ "), "{explain}");
     assert!(explain_lines[2].starts_with("   └─ "), "{explain}");
+}
+
+/// Page accesses per stage.
+fn stage_pages(r: &AnalyzeReport) -> Vec<u64> {
+    r.stages.iter().map(|st| st.pool.accesses()).collect()
+}
+
+#[test]
+fn concurrent_reports_count_only_their_own_pages() {
+    let mut s = stored();
+    let twig = planned(&s, TWIG);
+    // A second plan whose chain stage gathers its two posting lists on
+    // morsel workers when run with 2 threads.
+    const CHAIN: &str = r#"document("t")/{auth}descendant::item/{auth}child::orderline"#;
+    let chain = planned(&s, CHAIN);
+    twig.prepare(&mut s);
+    chain.prepare(&mut s);
+    let s = &s;
+    let solo = |plan: &PathPlan, threads: usize| {
+        plan.execute_shared_analyze(s, threads, None).unwrap(); // warm the pool
+        stage_pages(&plan.execute_shared_analyze(s, threads, None).unwrap().1)
+    };
+    let runs = [(&twig, 1, solo(&twig, 1)), (&chain, 2, solo(&chain, 1))];
+    for (_, _, pages) in &runs {
+        assert!(pages.iter().sum::<u64>() > 0, "the plans touch pages");
+    }
+    // Both plans start each round together, so their stages overlap.
+    let rounds = std::sync::Barrier::new(runs.len());
+    std::thread::scope(|scope| {
+        for (plan, threads, want) in &runs {
+            let rounds = &rounds;
+            scope.spawn(move || {
+                for _ in 0..40 {
+                    rounds.wait();
+                    let (_, report) = plan.execute_shared_analyze(s, *threads, None).unwrap();
+                    assert_eq!(&stage_pages(&report), want, "per-stage pages");
+                    assert_eq!(report.pool.accesses(), want.iter().sum::<u64>(), "total");
+                }
+            });
+        }
+    });
 }
