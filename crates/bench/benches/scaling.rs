@@ -48,12 +48,15 @@ fn scaling(c: &mut Criterion) {
         lines,
     ];
     let rels = [Rel::Child, Rel::Child];
-    let expected = holistic_chain_par(&lists, &rels, 1, None).expect("join").len();
+    let expected = holistic_chain_par(&lists, &rels, 1, None, |_, _| Ok(true))
+        .expect("join")
+        .len();
     for threads in THREADS {
         let name = format!("holistic_chain_par/cust-order-line/t{threads}");
         c.bench_function(&name, |b| {
             b.iter(|| {
-                let out = holistic_chain_par(&lists, &rels, threads, None).expect("join");
+                let out = holistic_chain_par(&lists, &rels, threads, None, |_, _| Ok(true))
+                    .expect("join");
                 assert_eq!(out.len(), expected);
                 out.len()
             })

@@ -4,8 +4,11 @@
 //! pool: a [`std::thread::scope`] of workers pulling chunk indexes
 //! from a shared atomic cursor until the work list drains (the
 //! morsel-at-a-time scheduling of Leis et al.). Chunk results merge
-//! back **in chunk order**, so every parallel operator here is
-//! output-identical to its sequential twin in [`crate::ops`].
+//! back **in chunk order**, so [`cross_tree_op_par`] is
+//! output-identical to its sequential twin in [`crate::ops`], and
+//! [`holistic_chain_par`] — the planner's only chain operator, one
+//! morsel when sequential — yields the same multiset at any thread
+//! count.
 //!
 //! Work is partitioned by node-id range: posting lists and tuple
 //! streams are sorted by `code.start`, so a contiguous index chunk is
@@ -238,44 +241,53 @@ pub fn cross_tree_op_par<D: DiskManager>(
     Ok(out)
 }
 
-/// Parallel PathStack chain join over `lists` (see
-/// [`ops::holistic_path_join`]). The root list is cut into contiguous
-/// morsels; each inner list is narrowed by binary search to the
-/// chunk's window `[first root start, max root end]`, which covers
-/// every descendant of the chunk's roots, and the chunk joins
-/// independently. The concatenation (in chunk order) is the exact
-/// multiset of the sequential output; tuple order may differ when
-/// root subtrees nest across a chunk boundary, so order-sensitive
-/// callers re-sort (the planner's Chain stage sorts its projected
-/// column, making plan output byte-identical).
-pub fn holistic_chain_par(
+/// The planner's chain stage: `ops::holistic_path_leaves` over
+/// `lists` with node filter `keep`, run per morsel of the root list.
+/// Each inner list is narrowed by binary search to its morsel's window
+/// `[first root start, max root end]`, which covers every descendant
+/// of the morsel's roots, so morsels join independently; below
+/// `2 × MIN_MORSEL` roots (or with one thread) the whole root list is
+/// the single morsel. The concatenation (in morsel order) is the exact
+/// multiset of the single-morsel output; leaf order may differ when
+/// root subtrees nest across a morsel boundary, so order-sensitive
+/// callers re-sort (the planner's Chain stage does, making plan output
+/// byte-identical at any thread count).
+pub fn holistic_chain_par<K>(
     lists: &[Vec<StructRef>],
     rels: &[Rel],
     threads: usize,
     cancel: Option<&CancelToken>,
-) -> mct_storage::Result<Vec<Tuple>> {
+    keep: K,
+) -> mct_storage::Result<Vec<StructRef>>
+where
+    K: Fn(usize, StructRef) -> mct_storage::Result<bool> + Sync,
+{
     assert_eq!(lists.len(), rels.len() + 1, "k+1 lists need k relations");
     check_cancel(cancel)?;
-    if threads <= 1 || lists.len() == 1 || lists[0].len() < 2 * MIN_MORSEL {
-        return Ok(ops::holistic_path_join(lists, rels));
-    }
     let roots = &lists[0];
-    let ranges = chunk_ranges(roots.len(), threads);
+    let ranges = if threads <= 1 || roots.len() < 2 * MIN_MORSEL {
+        std::iter::once(0..roots.len()).collect()
+    } else {
+        chunk_ranges(roots.len(), threads)
+    };
     let chunks = run_morsels(threads, ranges.len(), |ci| {
         check_cancel(cancel)?;
-        let chunk_roots = roots[ranges[ci].clone()].to_vec();
-        let lo = chunk_roots[0].code.start;
-        let hi = chunk_roots.iter().map(|r| r.code.end).max().expect("nonempty chunk");
-        let mut sub: Vec<Vec<StructRef>> = Vec::with_capacity(lists.len());
+        let chunk_roots = &roots[ranges[ci].clone()];
+        let Some(first) = chunk_roots.first() else {
+            return Ok(Vec::new());
+        };
+        let lo = first.code.start;
+        let hi = chunk_roots.iter().map(|r| r.code.end).max().unwrap_or(lo);
+        let mut sub: Vec<&[StructRef]> = Vec::with_capacity(lists.len());
         sub.push(chunk_roots);
         for list in &lists[1..] {
             let from = list.partition_point(|r| r.code.start < lo);
             let to = list.partition_point(|r| r.code.start <= hi);
-            sub.push(list[from..to].to_vec());
+            sub.push(&list[from..to]);
         }
-        Ok::<_, StorageError>(ops::holistic_path_join(&sub, rels))
+        ops::holistic_path_leaves(&sub, rels, &keep)
     })?;
-    Ok(chunks.into_iter().flatten().collect())
+    Ok(chunks.concat())
 }
 
 #[cfg(test)]
@@ -354,9 +366,21 @@ mod tests {
         mct_core::StoredDb::build(db, 32 * 1024 * 1024).unwrap()
     }
 
-    fn sort_tuples(mut ts: Vec<Tuple>) -> Vec<Tuple> {
-        ts.sort_by_key(|t| t.iter().map(|r| r.code.start).collect::<Vec<_>>());
-        ts
+    /// The full join projected onto its leaf column, in start order.
+    fn join_leaves(lists: &[Vec<StructRef>], rels: &[Rel]) -> Vec<StructRef> {
+        let mut v: Vec<StructRef> = ops::holistic_path_join(lists, rels)
+            .iter()
+            .map(|t| t[t.len() - 1])
+            .collect();
+        v.sort_by_key(|r| r.code.start);
+        v
+    }
+
+    /// The chain stage's unfiltered leaf output, in start order.
+    fn chain_leaves(lists: &[Vec<StructRef>], rels: &[Rel], threads: usize) -> Vec<StructRef> {
+        let mut v = holistic_chain_par(lists, rels, threads, None, |_, _| Ok(true)).unwrap();
+        v.sort_by_key(|r| r.code.start);
+        v
     }
 
     #[test]
@@ -368,11 +392,14 @@ mod tests {
         assert!(sections.len() >= 2 * MIN_MORSEL, "fixture must fan out");
         let lists = [sections, paras];
         let rels = [Rel::Child];
-        let seq = sort_tuples(ops::holistic_path_join(&lists, &rels));
+        let seq = join_leaves(&lists, &rels);
         assert!(!seq.is_empty());
-        for threads in [2, 4, 8] {
-            let par = sort_tuples(holistic_chain_par(&lists, &rels, threads, None).unwrap());
-            assert_eq!(par, seq, "threads={threads}");
+        for threads in [1, 2, 4, 8] {
+            assert_eq!(
+                chain_leaves(&lists, &rels, threads),
+                seq,
+                "threads={threads}"
+            );
         }
     }
 
@@ -387,7 +414,7 @@ mod tests {
         token.cancel();
         assert!(token.is_cancelled());
         let lists = [sections.clone(), paras];
-        let r = holistic_chain_par(&lists, &[Rel::Child], 4, Some(&token));
+        let r = holistic_chain_par(&lists, &[Rel::Child], 4, Some(&token), |_, _| Ok(true));
         assert!(matches!(r, Err(StorageError::Cancelled)), "{r:?}");
         let input: Vec<Tuple> = sections.into_iter().map(|r| vec![r]).collect();
         let r = cross_tree_op_par(&s, input, 0, green, 4, Some(&token));
@@ -424,11 +451,14 @@ mod tests {
         let divs = s.postings_named(c, "div").unwrap();
         let lists = [divs.clone(), divs];
         let rels = [Rel::Descendant];
-        let seq = sort_tuples(ops::holistic_path_join(&lists, &rels));
+        let seq = join_leaves(&lists, &rels);
         assert_eq!(seq.len(), 400 * 399 / 2, "all strict ancestor pairs");
-        for threads in [2, 4, 8] {
-            let par = sort_tuples(holistic_chain_par(&lists, &rels, threads, None).unwrap());
-            assert_eq!(par, seq, "threads={threads}");
+        for threads in [1, 2, 4, 8] {
+            assert_eq!(
+                chain_leaves(&lists, &rels, threads),
+                seq,
+                "threads={threads}"
+            );
         }
     }
 

@@ -11,6 +11,9 @@
 //!   Bruno et al. \[8\]: linked stacks, one per query node, no
 //!   intermediate results for the chain. (Branching twigs decompose
 //!   into chains joined on the branch element, as Timber did.)
+//!   The planner's chain stage runs the same driver with per-node
+//!   predicates tested at push time and emits only the leaf column
+//!   ([`crate::exec::holistic_chain_par`]).
 //! * [`value_join_eq`] — hash join on content/attribute values (the
 //!   shallow schema's ID/IDREF joins).
 //! * [`nl_join_cmp`] — block nested-loop join for inequality
@@ -18,8 +21,7 @@
 //! * [`cross_tree_op`] — the color-transition operator (§6.2) over
 //!   tuple streams, built on [`mct_core::cross_tree_join`]'s probe.
 //! * selections ([`select_contains`], [`select_content_eq`],
-//!   [`select_number_cmp`], [`select_attr_eq`]), [`dup_elim`],
-//!   [`project`], [`sort_by_col`].
+//!   [`select_number_cmp`], [`select_attr_eq`]), [`dup_elim`].
 //!
 //! Tuples are just `Vec<StructRef>` with positional columns; joins
 //! concatenate the outer and inner tuples.
@@ -39,9 +41,10 @@ pub mod testing_faults {
 
     static CHAIN_OFF_BY_ONE: AtomicBool = AtomicBool::new(false);
 
-    /// Arm/disarm the off-by-one in [`super::holistic_path_join`]'s
-    /// stack expansion (it skips the bottom entry of each parent
-    /// stack, dropping root-to-leaf matches).
+    /// Arm/disarm the off-by-one in the PathStack driver behind
+    /// [`super::holistic_path_join`] and the planner's chain stage (it
+    /// skips the bottom entry of each parent stack, dropping
+    /// root-to-leaf matches).
     pub fn set_chain_off_by_one(on: bool) {
         CHAIN_OFF_BY_ONE.store(on, Ordering::SeqCst);
     }
@@ -210,110 +213,188 @@ pub fn naive_structural_join(
     out
 }
 
-/// PathStack holistic join over a chain `q0 rel0 q1 rel1 ... qk`.
-/// `lists[i]` is the (start-sorted) posting list for chain node `i`;
-/// `rels[i]` relates `q_i` (ancestor side) to `q_{i+1}`. Produces one
-/// tuple per root-to-leaf match, columns in chain order.
-pub fn holistic_path_join(lists: &[Vec<StructRef>], rels: &[Rel]) -> Vec<Tuple> {
+/// One open node on a PathStack stack.
+#[derive(Clone, Copy)]
+struct Entry {
+    r: StructRef,
+    /// Top index of the parent level's stack when this entry was pushed:
+    /// the parent entries at or below it stay on their stack for as long
+    /// as this one does, so they are exactly its ancestor candidates.
+    parent_top: usize,
+    /// Number of matching root-to-node paths ending here.
+    paths: usize,
+}
+
+/// The PathStack driver (Bruno et al. \[8\]) behind both chain emitters.
+///
+/// `lists[i]` is the start-sorted posting list of chain node `i`;
+/// `rels[i]` relates `q_i` (ancestor side) to `q_{i+1}`. Nodes are
+/// consumed in global document order with one stack of open nodes per
+/// chain level. A node is pushed only when at least one matching path
+/// from a root reaches it, and `keep(level, node)` accepts it — so
+/// `keep` runs at most once per node and level, never for a node no
+/// path reaches, and a rejected node removes every path through it.
+/// Each entry carries its path count (the sum over its linked parent
+/// entries), and `on_leaf` runs after each push onto the last level.
+fn path_stack<L, E>(
+    lists: &[L],
+    rels: &[Rel],
+    mut keep: impl FnMut(usize, StructRef) -> Result<bool, E>,
+    mut on_leaf: impl FnMut(&[Vec<Entry>]),
+) -> Result<(), E>
+where
+    L: AsRef<[StructRef]>,
+{
     assert_eq!(lists.len(), rels.len() + 1, "k+1 lists need k relations");
     let k = lists.len();
-    if k == 1 {
-        return lists[0].iter().map(|&r| vec![r]).collect();
-    }
-    // Per-node stacks of (ref, parent_stack_top_index_at_push).
-    let mut stacks: Vec<Vec<(StructRef, usize)>> = vec![Vec::new(); k];
+    let lo = usize::from(testing_faults::chain_off_by_one());
+    let mut stacks: Vec<Vec<Entry>> = vec![Vec::new(); k];
     let mut cursors = vec![0usize; k];
-    let mut out = Vec::new();
     loop {
         // qmin: the list whose next element has the smallest start.
         let mut qmin = usize::MAX;
         let mut min_start = u32::MAX;
         for (i, list) in lists.iter().enumerate() {
-            if cursors[i] < list.len() && list[cursors[i]].code.start < min_start {
-                min_start = list[cursors[i]].code.start;
-                qmin = i;
-            }
-        }
-        if qmin == usize::MAX {
-            break;
-        }
-        let next = lists[qmin][cursors[qmin]];
-        cursors[qmin] += 1;
-        // Clean every stack: pop entries whose interval ended.
-        for st in stacks.iter_mut() {
-            while let Some(&(top, _)) = st.last() {
-                if top.code.end < next.code.start {
-                    st.pop();
-                } else {
-                    break;
+            if let Some(r) = list.as_ref().get(cursors[i]) {
+                if r.code.start < min_start {
+                    min_start = r.code.start;
+                    qmin = i;
                 }
             }
         }
-        // Push only when the parent stack is non-empty (or root).
-        if qmin == 0 || !stacks[qmin - 1].is_empty() {
-            let parent_top = if qmin == 0 {
-                0
-            } else {
-                stacks[qmin - 1].len() - 1
-            };
-            stacks[qmin].push((next, parent_top));
-            if qmin == k - 1 {
-                // Leaf push: emit all root-to-leaf combinations ending
-                // at this leaf.
-                expand(&stacks, rels, k - 1, stacks[k - 1].len() - 1, &mut out);
+        if qmin == usize::MAX {
+            return Ok(());
+        }
+        let next = lists[qmin].as_ref()[cursors[qmin]];
+        cursors[qmin] += 1;
+        // Clean every stack: pop entries whose interval ended.
+        for st in stacks.iter_mut() {
+            while st
+                .last()
+                .is_some_and(|top| top.r.code.end < next.code.start)
+            {
+                st.pop();
             }
         }
+        let (parent_top, paths) = if qmin == 0 {
+            (0, 1)
+        } else {
+            let Some(top) = stacks[qmin - 1].len().checked_sub(1) else {
+                continue;
+            };
+            let paths = linked(&stacks[qmin - 1], lo, top, rels[qmin - 1], next)
+                .fold(0usize, |n, (_, a)| n.saturating_add(a.paths));
+            (top, paths)
+        };
+        if paths == 0 || !keep(qmin, next)? {
+            continue;
+        }
+        stacks[qmin].push(Entry {
+            r: next,
+            parent_top,
+            paths,
+        });
+        if qmin == k - 1 {
+            on_leaf(&stacks);
+        }
     }
-    // Output in leaf (document) order already; each tuple is
-    // [q0, q1, ..., qk].
-    out
 }
 
-/// Emit every root-to-leaf tuple whose level-`level` column is
-/// `stacks[level][idx]` (called exactly when a leaf is pushed).
+/// The entries `lo..=top` of a parent-level stack that `rel` links to
+/// `child`, with their indexes.
+fn linked(
+    parent: &[Entry],
+    lo: usize,
+    top: usize,
+    rel: Rel,
+    child: StructRef,
+) -> impl Iterator<Item = (usize, &Entry)> {
+    parent[..=top]
+        .iter()
+        .enumerate()
+        .skip(lo)
+        .filter(move |(_, a)| {
+            a.r.code.is_ancestor_of(&child.code)
+                && (rel == Rel::Descendant || a.r.code.level + 1 == child.code.level)
+        })
+}
+
+/// PathStack holistic join over a chain `q0 rel0 q1 rel1 ... qk`.
+/// `lists[i]` is the start-sorted posting list of chain node `i`;
+/// `rels[i]` relates `q_i` (ancestor side) to `q_{i+1}`. Produces one
+/// tuple per root-to-leaf match, columns in chain order, in leaf
+/// document order.
+pub fn holistic_path_join(lists: &[Vec<StructRef>], rels: &[Rel]) -> Vec<Tuple> {
+    let lo = usize::from(testing_faults::chain_off_by_one());
+    let mut out = Vec::new();
+    let mut suffix = Vec::with_capacity(lists.len());
+    let all = path_stack(
+        lists,
+        rels,
+        |_, _| Ok::<_, std::convert::Infallible>(true),
+        |stacks| {
+            let leaf = stacks.len() - 1;
+            expand(
+                stacks,
+                rels,
+                lo,
+                leaf,
+                stacks[leaf].len() - 1,
+                &mut suffix,
+                &mut out,
+            );
+        },
+    );
+    match all {
+        Ok(()) => out,
+        Err(never) => match never {},
+    }
+}
+
+/// Emit every root-to-leaf tuple through `stacks[level][idx]`, whose
+/// descendants down to the leaf are `suffix` (leaf first).
 fn expand(
-    stacks: &[Vec<(StructRef, usize)>],
+    stacks: &[Vec<Entry>],
     rels: &[Rel],
+    lo: usize,
     level: usize,
     idx: usize,
+    suffix: &mut Vec<StructRef>,
     out: &mut Vec<Tuple>,
 ) {
-    for mut t in paths_to(stacks, rels, level, idx) {
-        t.reverse(); // built leaf→root; emit root→leaf
-        out.push(t);
+    let e = stacks[level][idx];
+    suffix.push(e.r);
+    if level == 0 {
+        out.push(suffix.iter().rev().copied().collect());
+    } else {
+        for (i, _) in linked(&stacks[level - 1], lo, e.parent_top, rels[level - 1], e.r) {
+            expand(stacks, rels, lo, level - 1, i, suffix, out);
+        }
     }
+    suffix.pop();
 }
 
-/// All partial tuples `[entry, parent, ..., root]` (leaf first) ending
-/// at `stacks[level][idx]`, honouring the per-edge relations and the
-/// parent-stack bound captured at push time.
-fn paths_to(
-    stacks: &[Vec<(StructRef, usize)>],
+/// The planner's chain emitter: PathStack over `lists` with the node
+/// filter `keep`, emitting each leaf once per matching root-to-leaf
+/// path, in leaf document order. The output is the multiset
+/// [`holistic_path_join`] → drop tuples with a rejected column →
+/// project onto the leaf, without materializing any tuple.
+pub(crate) fn holistic_path_leaves<L, E>(
+    lists: &[L],
     rels: &[Rel],
-    level: usize,
-    idx: usize,
-) -> Vec<Vec<StructRef>> {
-    let (r, parent_top) = stacks[level][idx];
-    if level == 0 {
-        return vec![vec![r]];
-    }
-    let mut result = Vec::new();
-    let bound = parent_top.min(stacks[level - 1].len().saturating_sub(1));
-    let lo = usize::from(testing_faults::chain_off_by_one());
-    for i in lo..=bound {
-        let (a, _) = stacks[level - 1][i];
-        if !a.code.is_ancestor_of(&r.code) {
-            continue;
-        }
-        if rels[level - 1] == Rel::Child && a.code.level + 1 != r.code.level {
-            continue;
-        }
-        for mut p in paths_to(stacks, rels, level - 1, i) {
-            p.insert(0, r);
-            result.push(p);
-        }
-    }
-    result
+    keep: impl FnMut(usize, StructRef) -> Result<bool, E>,
+) -> Result<Vec<StructRef>, E>
+where
+    L: AsRef<[StructRef]>,
+{
+    let mut out = Vec::new();
+    path_stack(lists, rels, keep, |stacks| {
+        let leaf = stacks[stacks.len() - 1]
+            .last()
+            .expect("called after a leaf push");
+        out.extend(std::iter::repeat_n(leaf.r, leaf.paths));
+    })?;
+    Ok(out)
 }
 
 /// Hash equality join on extracted string keys. Builds on the right,
@@ -497,31 +578,23 @@ pub fn select_attr_eq<D: DiskManager>(
     Ok(out)
 }
 
-/// Remove duplicate tuples, comparing the node ids of `cols`.
-/// Preserves first-occurrence order.
-pub fn dup_elim(input: Vec<Tuple>, cols: &[usize]) -> Vec<Tuple> {
-    let mut seen = std::collections::HashSet::new();
-    let mut out = Vec::with_capacity(input.len());
-    for t in input {
-        let key: Vec<u32> = cols.iter().map(|&c| t[c].node.0).collect();
-        if seen.insert(key) {
-            out.push(t);
-        }
-    }
-    out
-}
-
-/// Project tuples onto `cols` (in the given order).
-pub fn project(input: Vec<Tuple>, cols: &[usize]) -> Vec<Tuple> {
-    input
-        .into_iter()
-        .map(|t| cols.iter().map(|&c| t[c]).collect())
-        .collect()
-}
-
-/// Sort tuples by the start code of `col`.
-pub fn sort_by_col(mut input: Vec<Tuple>, col: usize) -> Vec<Tuple> {
-    input.sort_by_key(|t| t[col].code.start);
+/// Remove tuples whose `col` node already occurred in an earlier tuple,
+/// keeping first-occurrence order. The seen-set is a bitmap over node
+/// ids (dense arena indexes), so no per-row key is built or hashed.
+pub fn dup_elim(mut input: Vec<Tuple>, col: usize) -> Vec<Tuple> {
+    let words = input
+        .iter()
+        .map(|t| t[col].node.index() / 64 + 1)
+        .max()
+        .unwrap_or(0);
+    let mut seen = vec![0u64; words];
+    input.retain(|t| {
+        let i = t[col].node.index();
+        let (word, bit) = (&mut seen[i / 64], 1u64 << (i % 64));
+        let fresh = *word & bit == 0;
+        *word |= bit;
+        fresh
+    });
     input
 }
 
@@ -666,8 +739,8 @@ mod tests {
         let g: Vec<Tuple> = genres.iter().map(|&r| vec![r]).collect();
         let m: Vec<Tuple> = movies.iter().map(|&r| vec![r]).collect();
         let n: Vec<Tuple> = names.iter().map(|&r| vec![r]).collect();
-        let gm = structural_join(&g, 0, &m, 0, Rel::Descendant);
-        let gm = sort_by_col(gm, 1);
+        let mut gm = structural_join(&g, 0, &m, 0, Rel::Descendant);
+        gm.sort_by_key(|t| t[1].code.start);
         let gmn = structural_join(&gm, 1, &n, 0, Rel::Child);
         assert_eq!(holistic.len(), gmn.len());
         assert_eq!(holistic.len(), 8);
@@ -682,6 +755,167 @@ mod tests {
         a.sort();
         b.sort();
         assert_eq!(a, b);
+    }
+
+    /// splitmix64: a dependency-free seeded generator for the
+    /// property tests below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// A random forest of `a`/`b` elements with deep same-tag nesting:
+    /// `(tag, ref)` per node, in document (start) order.
+    fn gen_forest(rng: &mut Rng, nodes: usize) -> Vec<(u8, StructRef)> {
+        fn subtree(rng: &mut Rng, level: u16, budget: &mut usize, out: &mut Vec<(u8, StructRef)>) {
+            *budget -= 1;
+            let at = out.len();
+            let start = at as u32 + 1;
+            let code = mct_storage::IntervalCode {
+                start,
+                end: start,
+                level,
+            };
+            out.push((
+                rng.below(2) as u8,
+                StructRef {
+                    node: McNodeId(start),
+                    code,
+                },
+            ));
+            // Deep, narrow subtrees: up to three children, often one.
+            for _ in 0..rng.below(4) {
+                if *budget == 0 || level > 12 {
+                    break;
+                }
+                subtree(rng, level + 1, budget, out);
+            }
+            out[at].1.code.end = out.len() as u32;
+        }
+        let mut out = Vec::with_capacity(nodes);
+        let mut budget = nodes;
+        while budget > 0 {
+            subtree(rng, 1, &mut budget, &mut out);
+        }
+        out
+    }
+
+    /// A random 2–4 step chain over `forest`: per-step posting lists
+    /// and the relations between steps.
+    fn gen_chain(rng: &mut Rng, forest: &[(u8, StructRef)]) -> (Vec<Vec<StructRef>>, Vec<Rel>) {
+        let steps = 2 + rng.below(3) as usize;
+        let lists = (0..steps)
+            .map(|_| {
+                let tag = rng.below(2) as u8;
+                forest
+                    .iter()
+                    .filter(|(t, _)| *t == tag)
+                    .map(|&(_, r)| r)
+                    .collect()
+            })
+            .collect();
+        let rels = (1..steps)
+            .map(|_| {
+                if rng.below(2) == 0 {
+                    Rel::Child
+                } else {
+                    Rel::Descendant
+                }
+            })
+            .collect();
+        (lists, rels)
+    }
+
+    fn sorted_ids(mut v: Vec<StructRef>) -> Vec<u32> {
+        v.sort_by_key(|r| r.code.start);
+        v.iter().map(|r| r.node.0).collect()
+    }
+
+    #[test]
+    fn leaf_emitter_equals_filtered_projected_join() {
+        for seed in 0..300u64 {
+            let mut rng = Rng(seed);
+            let nodes = 12 + rng.below(60) as usize;
+            let forest = gen_forest(&mut rng, nodes);
+            let (lists, rels) = gen_chain(&mut rng, &forest);
+            // A random node filter per chain level, rejecting ~1 in 4.
+            let rejected: Vec<bool> = (0..(forest.len() + 1) * lists.len())
+                .map(|_| rng.below(4) == 0)
+                .collect();
+            let accepts =
+                |level: usize, r: StructRef| !rejected[r.node.index() * lists.len() + level];
+
+            let oracle: Vec<StructRef> = holistic_path_join(&lists, &rels)
+                .into_iter()
+                .filter(|t| t.iter().enumerate().all(|(level, &r)| accepts(level, r)))
+                .map(|t| t[t.len() - 1])
+                .collect();
+            let mut calls = HashMap::new();
+            let leaves = holistic_path_leaves(&lists, &rels, |level, r| {
+                *calls.entry((level, r.node)).or_insert(0) += 1;
+                Ok::<_, std::convert::Infallible>(accepts(level, r))
+            })
+            .unwrap();
+            assert_eq!(
+                sorted_ids(leaves),
+                sorted_ids(oracle),
+                "seed {seed}: {rels:?}"
+            );
+            assert!(
+                calls.values().all(|&n| n == 1),
+                "seed {seed}: keep called twice"
+            );
+            // `keep` runs exactly on the nodes some accepted path reaches:
+            // the last column of the filtered prefix joins.
+            let mut reached = std::collections::HashSet::new();
+            for level in 0..lists.len() {
+                for t in holistic_path_join(&lists[..=level], &rels[..level]) {
+                    if t[..level].iter().enumerate().all(|(l, &r)| accepts(l, r)) {
+                        reached.insert((level, t[level].node));
+                    }
+                }
+            }
+            let called: std::collections::HashSet<_> = calls.into_keys().collect();
+            assert_eq!(called, reached, "seed {seed}: keep on an unreached node");
+        }
+    }
+
+    #[test]
+    fn parallel_leaf_emitter_equals_sequential() {
+        for seed in 0..12u64 {
+            let mut rng = Rng(1000 + seed);
+            let forest = gen_forest(&mut rng, 700);
+            let (lists, rels) = gen_chain(&mut rng, &forest);
+            if lists[0].len() < 2 * crate::exec::MIN_MORSEL {
+                continue;
+            }
+            let rejected: Vec<bool> = (0..(forest.len() + 1) * lists.len())
+                .map(|_| rng.below(4) == 0)
+                .collect();
+            let keep =
+                |level: usize, r: StructRef| Ok(!rejected[r.node.index() * lists.len() + level]);
+            let seq = sorted_ids(holistic_path_leaves(&lists, &rels, keep).unwrap());
+            for threads in [1, 2, 4] {
+                let par =
+                    crate::exec::holistic_chain_par(&lists, &rels, threads, None, keep).unwrap();
+                assert_eq!(
+                    sorted_ids(par),
+                    seq,
+                    "seed {seed} threads {threads}: {rels:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -837,16 +1071,15 @@ mod tests {
     }
 
     #[test]
-    fn dup_elim_and_project() {
+    fn dup_elim_keeps_first_occurrences_in_order() {
         let s = stored();
         let red = s.db.color("red").unwrap();
         let movies = index_scan(&s, red, "movie").unwrap();
         let names = index_scan(&s, red, "name").unwrap();
         let joined = structural_join(&movies, 0, &names, 0, Rel::Child);
-        let only_movies = project(joined.clone(), &[0]);
-        assert!(only_movies.iter().all(|t| t.len() == 1));
-        let doubled: Vec<Tuple> = joined.iter().chain(joined.iter()).cloned().collect();
-        let unique = dup_elim(doubled, &[0, 1]);
-        assert_eq!(unique.len(), joined.len());
+        let doubled: Vec<Tuple> = joined.iter().chain(joined.iter().rev()).cloned().collect();
+        assert_eq!(dup_elim(doubled, 1), joined);
+        // Each movie has one name, so its column repeats nothing either.
+        assert_eq!(dup_elim(joined.clone(), 0), joined);
     }
 }

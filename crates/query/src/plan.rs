@@ -8,8 +8,9 @@
 //! 1. **Segment** a colored path expression into maximal single-color
 //!    runs of downward steps (`child` / `descendant`).
 //! 2. Compile each run into index scans feeding a **holistic chain
-//!    join** (PathStack), with content/attribute predicates applied as
-//!    early as possible — on the scan output, before any join.
+//!    join** (PathStack), with content/attribute predicates tested
+//!    once per node, when the join pushes it — never on a node that no
+//!    matching path reaches, and never once per joined tuple.
 //! 3. Join consecutive runs with the **cross-tree operator** when the
 //!    color changes (the paper's "evaluate a single-color query, then
 //!    a cross-tree join, before evaluating the next single-color
@@ -28,10 +29,7 @@
 use crate::ast::{Axis, CmpOp, Expr, Literal, NodeTest, PathExpr, PathStart, Step};
 use crate::exec::{self, CancelToken};
 use mct_storage::{DiskManager, StorageError};
-use crate::ops::{
-    self, dup_elim, select_attr_eq, select_contains,
-    select_content_eq, select_number_cmp, NumCmp, Rel, Tuple,
-};
+use crate::ops::{self, NumCmp, Rel, Tuple};
 use mct_core::{ColorId, McNodeId, StoredDb, StructRef};
 use mct_storage::PoolStats;
 use std::fmt;
@@ -83,7 +81,8 @@ enum Stage {
         color: ColorId,
         tags: Vec<String>,
         rels: Vec<Rel>,
-        /// Predicates to apply per chain position, after the join.
+        /// Predicates per chain position, tested on each node as the
+        /// join pushes it.
         preds: Vec<Vec<CompiledPred>>,
         /// The chain opens the path with a `child::` step: only roots
         /// of the colored tree may bind the first tag (`document/
@@ -105,6 +104,44 @@ enum CompiledPred {
     ContentContains { child: Option<String>, value: String },
     ContentCmp { child: Option<String>, cmp: NumCmp, value: f64 },
     AttrEq { name: String, value: String },
+}
+
+impl CompiledPred {
+    /// Whether node `n` satisfies the predicate. A content predicate
+    /// on a named child holds when any same-named child of `n` in
+    /// `color` satisfies it. Callers must have annotated `color` (see
+    /// [`PathPlan::prepare`]), so this is a pure read.
+    fn holds<D: DiskManager>(
+        &self,
+        s: &StoredDb<D>,
+        n: McNodeId,
+        color: ColorId,
+    ) -> mct_storage::Result<bool> {
+        let (child, test): (_, &dyn Fn(&str) -> bool) = match self {
+            CompiledPred::AttrEq { name, value } => {
+                return Ok(s
+                    .fetch_attrs(n)?
+                    .iter()
+                    .any(|(k, v)| k == name && v == value))
+            }
+            CompiledPred::ContentEq { child, value } => (child, &move |c| c == value),
+            CompiledPred::ContentContains { child, value } => {
+                (child, &move |c| c.contains(value.as_str()))
+            }
+            CompiledPred::ContentCmp { child, cmp, value } => (child, &move |c| {
+                c.trim().parse::<f64>().is_ok_and(|v| cmp.test(v, *value))
+            }),
+        };
+        let Some(name) = child else {
+            return Ok(s.with_content(n, test)? == Some(true));
+        };
+        for ch in s.db.children(n, color) {
+            if s.db.name_str(ch) == Some(name.as_str()) && s.with_content(ch, test)? == Some(true) {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
 }
 
 /// Handles for `query.plan.*`, resolved once instead of per execution.
@@ -331,9 +368,7 @@ impl PathPlan {
                 Stage::DupElim => continue,
             };
             if s.db.is_dirty(c) {
-                return Err(StorageError::Corrupt(
-                    "color tree not annotated; call prepare/ensure_all_annotated first",
-                ));
+                return Err(StorageError::NotAnnotated);
             }
         }
         Ok(())
@@ -470,23 +505,32 @@ impl PathPlan {
                             lists.push(s.postings_named(*color, tag)?);
                         }
                     }
-                    if *root_only {
-                        // `document/child::x`: only roots of the
-                        // colored tree bind the opening tag.
-                        lists[0].retain(|r| {
-                            matches!(s.db.parent(r.node, *color), None | Some(McNodeId::DOCUMENT))
-                        });
-                    }
-                    let joined = exec::holistic_chain_par(&lists, rels, threads, cancel)?;
-                    // Apply per-position predicates, then project to the
-                    // last column.
-                    let mut tuples = joined;
-                    for (pos, ps) in preds.iter().enumerate() {
-                        for p in ps {
-                            tuples = apply_pred_par(s, tuples, pos, *color, p, threads, cancel)?;
+                    // Predicates run once per node, when PathStack pushes
+                    // it (see `ops::holistic_path_leaves`).
+                    let keep = |level: usize, r: StructRef| -> mct_storage::Result<bool> {
+                        // `document/child::x`: only roots of the colored
+                        // tree bind the opening tag.
+                        if level == 0
+                            && *root_only
+                            && !matches!(
+                                s.db.parent(r.node, *color),
+                                None | Some(McNodeId::DOCUMENT)
+                            )
+                        {
+                            return Ok(false);
                         }
-                    }
-                    ops::sort_by_col(ops::project(tuples, &[tags.len() - 1]), 0)
+                        for p in &preds[level] {
+                            if !p.holds(s, r.node, *color)? {
+                                return Ok(false);
+                            }
+                        }
+                        Ok(true)
+                    };
+                    let mut leaves = exec::holistic_chain_par(&lists, rels, threads, cancel, keep)?;
+                    // Morsels with nested roots interleave their leaves;
+                    // the stable sort restores document order.
+                    leaves.sort_by_key(|r| r.code.start);
+                    leaves.into_iter().map(|r| vec![r]).collect()
                 }
                 Stage::CrossTree { to } => {
                     let cur = current.take().unwrap_or_default();
@@ -513,7 +557,7 @@ impl PathPlan {
                     out.sort_by_key(|t| t[0].code.start);
                     out
                 }
-                Stage::DupElim => dup_elim(current.take().unwrap_or_default(), &[0]),
+                Stage::DupElim => ops::dup_elim(current.take().unwrap_or_default(), 0),
             });
             let rows_out = current.as_ref().map_or(0, Vec::len) as u64;
             counters.rows.add(rows_out);
@@ -529,112 +573,6 @@ impl PathPlan {
         }
         Ok((current.unwrap_or_default(), collected))
     }
-}
-
-/// [`apply_pred`] over morsels: predicates filter tuples
-/// independently and chunk outputs merge in chunk order, so the
-/// result equals the sequential filter exactly.
-fn apply_pred_par<D: DiskManager>(
-    s: &StoredDb<D>,
-    tuples: Vec<Tuple>,
-    col: usize,
-    color: ColorId,
-    p: &CompiledPred,
-    threads: usize,
-    cancel: Option<&CancelToken>,
-) -> mct_storage::Result<Vec<Tuple>> {
-    if threads <= 1 || tuples.len() < 2 * exec::MIN_MORSEL {
-        return apply_pred(s, tuples, col, color, p);
-    }
-    let ranges = exec::chunk_ranges(tuples.len(), threads);
-    let chunks = exec::run_morsels(threads, ranges.len(), |ci| {
-        exec::check_cancel(cancel)?;
-        apply_pred(s, tuples[ranges[ci].clone()].to_vec(), col, color, p)
-    })?;
-    Ok(chunks.into_iter().flatten().collect())
-}
-
-/// Apply one compiled predicate. Callers must have annotated `color`
-/// already (see [`PathPlan::run`]'s hoist) — this is a pure read and
-/// safe to fan across threads.
-fn apply_pred<D: DiskManager>(
-    s: &StoredDb<D>,
-    tuples: Vec<Tuple>,
-    col: usize,
-    color: ColorId,
-    p: &CompiledPred,
-) -> mct_storage::Result<Vec<Tuple>> {
-    // Predicates on a named child evaluate against that child's content.
-    let resolve_child = |s: &StoredDb<D>, tuples: Vec<Tuple>, child: &Option<String>| {
-        match child {
-            None => tuples,
-            Some(name) => tuples
-                .into_iter()
-                .filter(|t| {
-                    s.db.children(t[col].node, color)
-                        .any(|ch| s.db.name_str(ch) == Some(name.as_str()))
-                })
-                .collect(),
-        }
-    };
-    match p {
-        CompiledPred::AttrEq { name, value } => select_attr_eq(s, tuples, col, name, value),
-        CompiledPred::ContentEq { child: None, value } => {
-            select_content_eq(s, tuples, col, value)
-        }
-        CompiledPred::ContentContains { child: None, value } => {
-            select_contains(s, tuples, col, value)
-        }
-        CompiledPred::ContentCmp { child: None, cmp, value } => {
-            select_number_cmp(s, tuples, col, *cmp, *value)
-        }
-        // Child-targeted predicates: test every same-named child.
-        CompiledPred::ContentEq { child: Some(name), value } => {
-            let candidates = resolve_child(s, tuples, &Some(name.clone()));
-            filter_by_child(s, candidates, col, color, name, |c| c == value.as_str())
-        }
-        CompiledPred::ContentContains { child: Some(name), value } => {
-            let candidates = resolve_child(s, tuples, &Some(name.clone()));
-            filter_by_child(s, candidates, col, color, name, |c| c.contains(value.as_str()))
-        }
-        CompiledPred::ContentCmp { child: Some(name), cmp, value } => {
-            let candidates = resolve_child(s, tuples, &Some(name.clone()));
-            let cmp = *cmp;
-            let value = *value;
-            filter_by_child(s, candidates, col, color, name, move |c| {
-                c.trim().parse::<f64>().map(|v| cmp.test(v, value)).unwrap_or(false)
-            })
-        }
-    }
-}
-
-fn filter_by_child<D: DiskManager>(
-    s: &StoredDb<D>,
-    tuples: Vec<Tuple>,
-    col: usize,
-    color: ColorId,
-    child: &str,
-    test: impl Fn(&str) -> bool,
-) -> mct_storage::Result<Vec<Tuple>> {
-    let mut out = Vec::new();
-    for t in tuples {
-        let kids: Vec<McNodeId> = s
-            .db
-            .children(t[col].node, color)
-            .filter(|&ch| s.db.name_str(ch) == Some(child))
-            .collect();
-        let mut hit = false;
-        for ch in kids {
-            if s.with_content(ch, &test)? == Some(true) {
-                hit = true;
-                break;
-            }
-        }
-        if hit {
-            out.push(t);
-        }
-    }
-    Ok(out)
 }
 
 /// Compile an absolute colored path expression into a physical plan.

@@ -505,8 +505,7 @@ mod tests {
                     Err(_) => return,
                 };
                 counter.fetch_add(1, Ordering::SeqCst);
-                let mut buf = [0u8; 1024];
-                let _ = sock.read(&mut buf);
+                read_request(&mut sock);
                 match step {
                     Script::Busy => {
                         let _ = sock.write_all(
@@ -537,6 +536,32 @@ mod tests {
             }
         });
         (port, accepts)
+    }
+
+    /// Read one whole request: headers, then `Content-Length` body
+    /// bytes. The client sends the body in a second segment, and a
+    /// socket closed with bytes still unread is reset by the kernel,
+    /// which can reach the client before the response does.
+    fn read_request(sock: &mut TcpStream) {
+        let mut req = Vec::new();
+        let mut buf = [0u8; 1024];
+        loop {
+            if let Some(end) = req.windows(4).position(|w| w == b"\r\n\r\n") {
+                let head = String::from_utf8_lossy(&req[..end]).to_ascii_lowercase();
+                let body = head
+                    .lines()
+                    .find_map(|l| l.strip_prefix("content-length:"))
+                    .and_then(|v| v.trim().parse::<usize>().ok())
+                    .unwrap_or(0);
+                if req.len() >= end + 4 + body {
+                    return;
+                }
+            }
+            match sock.read(&mut buf) {
+                Ok(0) | Err(_) => return,
+                Ok(n) => req.extend_from_slice(&buf[..n]),
+            }
+        }
     }
 
     fn fast(port: u16, retries: u32) -> Client {
@@ -579,10 +604,11 @@ mod tests {
         assert_eq!(accepts.load(Ordering::SeqCst), 1, "update was resent: {err}");
     }
 
-    /// A port that is (almost certainly) closed.
+    /// A port that refuses connections. Port 1 is privileged and no
+    /// test binds it, unlike a bound-then-dropped ephemeral port, which
+    /// a scripted server started in parallel can take over.
     fn dead_port() -> u16 {
-        let l = TcpListener::bind("127.0.0.1:0").unwrap();
-        l.local_addr().unwrap().port()
+        1
     }
 
     #[test]
@@ -640,13 +666,8 @@ mod tests {
 
     #[test]
     fn connect_refused_exhausts_retries_then_errors() {
-        // Bind-then-drop: the port is (almost certainly) closed.
-        let port = {
-            let l = TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap().port()
-        };
         let t0 = std::time::Instant::now();
-        let err = fast(port, 2).update("u").unwrap_err();
+        let err = fast(dead_port(), 2).update("u").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::ConnectionRefused);
         // Two backoffs happened (1-2ms each at the test schedule).
         assert!(t0.elapsed() >= Duration::from_millis(2));

@@ -8,25 +8,29 @@
 //! render with these functions, and compare against server responses
 //! byte for byte.
 
-use mct_core::{McNodeId, StoredDb};
+use mct_core::{ColorSet, McNodeId, Palette, StoredDb};
 use mct_query::{Item, Tuple};
 use mct_storage::DiskManager;
+use std::fmt::Write;
 
 /// One result row: a node projected to (name, content, colors), or a
-/// scalar from the interpreter.
-#[derive(Clone, Debug, PartialEq)]
-pub enum Row {
-    /// An element with its tag name, text content, and color names.
+/// scalar from the interpreter. Rows borrow from the store (and the
+/// interpreter's items), so building one copies nothing.
+#[derive(Clone, Copy, Debug)]
+pub enum Row<'a> {
+    /// An element with its tag name, text content, and colors.
     Node {
         /// Tag name.
-        name: String,
+        name: &'a str,
         /// Text content (empty for structure-only elements).
-        content: String,
-        /// Names of every color the node participates in.
-        colors: Vec<String>,
+        content: &'a str,
+        /// Every color the node participates in.
+        colors: ColorSet,
+        /// Names for `colors`.
+        palette: &'a Palette,
     },
     /// A string value.
-    Str(String),
+    Str(&'a str),
     /// A numeric value.
     Num(f64),
     /// A boolean value.
@@ -34,63 +38,87 @@ pub enum Row {
 }
 
 /// Project one node to a [`Row`].
-pub fn node_row<D: DiskManager>(s: &StoredDb<D>, n: McNodeId) -> Row {
+pub fn node_row<D: DiskManager>(s: &StoredDb<D>, n: McNodeId) -> Row<'_> {
     Row::Node {
-        name: s.db.name_str(n).unwrap_or("?").to_string(),
-        content: s.db.content(n).unwrap_or("").to_string(),
-        colors: s
-            .db
-            .colors(n)
-            .iter()
-            .map(|c| s.db.palette.name(c).to_string())
-            .collect(),
+        name: s.db.name_str(n).unwrap_or("?"),
+        content: s.db.content(n).unwrap_or(""),
+        colors: s.db.colors(n),
+        palette: &s.db.palette,
     }
 }
 
 /// Rows for a planner result set (first column of each tuple, matching
 /// `mctq --plan-exec` output).
-pub fn rows_from_tuples<D: DiskManager>(s: &StoredDb<D>, tuples: &[Tuple]) -> Vec<Row> {
+pub fn rows_from_tuples<'a, D: DiskManager>(s: &'a StoredDb<D>, tuples: &[Tuple]) -> Vec<Row<'a>> {
     tuples.iter().map(|t| node_row(s, t[0].node)).collect()
 }
 
 /// Rows for an interpreter result sequence.
-pub fn rows_from_items<D: DiskManager>(s: &StoredDb<D>, items: &[Item]) -> Vec<Row> {
+pub fn rows_from_items<'a, D: DiskManager>(s: &'a StoredDb<D>, items: &'a [Item]) -> Vec<Row<'a>> {
     items
         .iter()
         .map(|item| match item {
             Item::Node(n, _) => node_row(s, *n),
-            Item::Str(v) => Row::Str(v.clone()),
+            Item::Str(v) => Row::Str(v),
             Item::Num(v) => Row::Num(*v),
             Item::Bool(v) => Row::Bool(*v),
         })
         .collect()
 }
 
-fn xml_escape(s: &str, out: &mut String) {
-    for ch in s.chars() {
-        match ch {
-            '&' => out.push_str("&amp;"),
-            '<' => out.push_str("&lt;"),
-            '>' => out.push_str("&gt;"),
-            '"' => out.push_str("&quot;"),
-            _ => out.push(ch),
+/// Append `s` with every byte `special` accepts replaced by
+/// `escape(byte)`, copying the runs between them whole. `special` must
+/// accept only ASCII bytes, so every run boundary is a `char` boundary.
+fn escape_runs(
+    s: &str,
+    out: &mut String,
+    special: impl Fn(u8) -> bool,
+    escape: impl Fn(u8, &mut String),
+) {
+    let mut from = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if special(b) {
+            out.push_str(&s[from..i]);
+            escape(b, out);
+            from = i + 1;
         }
     }
+    out.push_str(&s[from..]);
+}
+
+fn xml_escape(s: &str, out: &mut String) {
+    escape_runs(
+        s,
+        out,
+        |b| matches!(b, b'&' | b'<' | b'>' | b'"'),
+        |b, out| {
+            out.push_str(match b {
+                b'&' => "&amp;",
+                b'<' => "&lt;",
+                b'>' => "&gt;",
+                _ => "&quot;",
+            })
+        },
+    );
 }
 
 fn json_escape(s: &str, out: &mut String) {
     out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    escape_runs(
+        s,
+        out,
+        |b| b == b'"' || b == b'\\' || b < 0x20,
+        |b, out| match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
+            }
+        },
+    );
     out.push('"');
 }
 
@@ -98,16 +126,22 @@ fn json_escape(s: &str, out: &mut String) {
 pub fn render_xml(rows: &[Row]) -> String {
     let mut out = format!("<results count=\"{}\">\n", rows.len());
     for row in rows {
-        match row {
+        match *row {
             Row::Node {
                 name,
                 content,
                 colors,
+                palette,
             } => {
                 out.push_str("  <node name=\"");
                 xml_escape(name, &mut out);
                 out.push_str("\" colors=\"");
-                xml_escape(&colors.join(" "), &mut out);
+                for (j, c) in colors.iter().enumerate() {
+                    if j > 0 {
+                        out.push(' ');
+                    }
+                    xml_escape(palette.name(c), &mut out);
+                }
                 out.push_str("\">");
                 xml_escape(content, &mut out);
                 out.push_str("</node>\n");
@@ -117,8 +151,12 @@ pub fn render_xml(rows: &[Row]) -> String {
                 xml_escape(v, &mut out);
                 out.push_str("</value>\n");
             }
-            Row::Num(v) => out.push_str(&format!("  <value>{v}</value>\n")),
-            Row::Bool(v) => out.push_str(&format!("  <value>{v}</value>\n")),
+            Row::Num(v) => {
+                let _ = writeln!(out, "  <value>{v}</value>");
+            }
+            Row::Bool(v) => {
+                let _ = writeln!(out, "  <value>{v}</value>");
+            }
         }
     }
     out.push_str("</results>\n");
@@ -132,11 +170,12 @@ pub fn render_json(rows: &[Row]) -> String {
         if i > 0 {
             out.push(',');
         }
-        match row {
+        match *row {
             Row::Node {
                 name,
                 content,
                 colors,
+                palette,
             } => {
                 out.push_str("{\"name\":");
                 json_escape(name, &mut out);
@@ -147,7 +186,7 @@ pub fn render_json(rows: &[Row]) -> String {
                     if j > 0 {
                         out.push(',');
                     }
-                    json_escape(c, &mut out);
+                    json_escape(palette.name(c), &mut out);
                 }
                 out.push_str("]}");
             }
@@ -158,12 +197,14 @@ pub fn render_json(rows: &[Row]) -> String {
             }
             Row::Num(v) => {
                 if v.is_finite() {
-                    out.push_str(&format!("{{\"value\":{v}}}"));
+                    let _ = write!(out, "{{\"value\":{v}}}");
                 } else {
                     out.push_str("{\"value\":null}");
                 }
             }
-            Row::Bool(v) => out.push_str(&format!("{{\"value\":{v}}}")),
+            Row::Bool(v) => {
+                let _ = write!(out, "{{\"value\":{v}}}");
+            }
         }
     }
     out.push_str("]}\n");
@@ -174,15 +215,28 @@ pub fn render_json(rows: &[Row]) -> String {
 mod tests {
     use super::*;
 
+    fn palette() -> Palette {
+        let mut p = Palette::new();
+        p.register("red");
+        p.register("green");
+        p
+    }
+
+    fn node<'a>(name: &'a str, content: &'a str, palette: &'a Palette) -> Row<'a> {
+        Row::Node {
+            name,
+            content,
+            colors: palette.iter().map(|(c, _)| c).collect(),
+            palette,
+        }
+    }
+
     #[test]
     fn xml_rendering_escapes_markup() {
+        let p = palette();
         let rows = vec![
-            Row::Node {
-                name: "a<b".into(),
-                content: "x & y".into(),
-                colors: vec!["red".into(), "green".into()],
-            },
-            Row::Str("s\"q".into()),
+            node("a<b", "x & y", &p),
+            Row::Str("s\"q"),
             Row::Num(3.5),
             Row::Bool(true),
         ];
@@ -196,18 +250,84 @@ mod tests {
 
     #[test]
     fn json_rendering_escapes_strings() {
+        let p = palette();
         let rows = vec![
             Row::Node {
-                name: "n".into(),
-                content: "line\nbreak".into(),
-                colors: vec!["c".into()],
+                name: "n",
+                content: "line\nbreak",
+                colors: ColorSet::single(mct_core::ColorId(0)),
+                palette: &p,
             },
-            Row::Str("q\"".into()),
+            Row::Str("q\""),
+            Row::Num(f64::NAN),
         ];
         let json = render_json(&rows);
-        assert!(json.starts_with("{\"count\":2,\"rows\":["));
-        assert!(json.contains("\"content\":\"line\\nbreak\""));
+        assert!(json.starts_with("{\"count\":3,\"rows\":["));
+        assert!(json.contains("\"content\":\"line\\nbreak\",\"colors\":[\"red\"]"));
         assert!(json.contains("{\"value\":\"q\\\"\"}"));
+        assert!(json.contains("{\"value\":null}"));
         assert!(json.ends_with("]}\n"));
+    }
+
+    /// Per-`char` reference escapers: what the run-copying ones must
+    /// reproduce byte for byte.
+    fn xml_escape_chars(s: &str) -> String {
+        let mut out = String::new();
+        for ch in s.chars() {
+            match ch {
+                '&' => out.push_str("&amp;"),
+                '<' => out.push_str("&lt;"),
+                '>' => out.push_str("&gt;"),
+                '"' => out.push_str("&quot;"),
+                _ => out.push(ch),
+            }
+        }
+        out
+    }
+
+    fn json_escape_chars(s: &str) -> String {
+        let mut out = String::from("\"");
+        for ch in s.chars() {
+            match ch {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn run_copying_escapes_match_per_char_escaping() {
+        let cases = [
+            "",
+            "plain ascii text 123",
+            "&",
+            "<",
+            ">",
+            "\"",
+            "a&b<c>d\"e",
+            "&&<<>>\"\"",
+            "caf\u{e9}&na\u{ef}ve",
+            "\u{65e5}<\u{672c}>\u{8a9e}",
+            "\u{1f600}\"\u{1f600}",
+            "\u{e9}",
+            "tab\there\nnew\rline",
+            "\u{0}\u{1}\u{1f}\u{7f}\\back\\",
+            "\u{e9}\u{1}\u{e9}\\",
+        ];
+        for case in cases {
+            let mut xml = String::new();
+            xml_escape(case, &mut xml);
+            assert_eq!(xml, xml_escape_chars(case), "xml {case:?}");
+            let mut json = String::new();
+            json_escape(case, &mut json);
+            assert_eq!(json, json_escape_chars(case), "json {case:?}");
+        }
     }
 }

@@ -692,3 +692,71 @@ fn request_log_writes_one_parseable_line_per_request_with_unique_ids() {
     }
     let _ = std::fs::remove_file(&path);
 }
+
+fn post_query(text: &str) -> mct_server::Request {
+    mct_server::Request {
+        method: "POST".into(),
+        path: "/query".into(),
+        query: None,
+        headers: Vec::new(),
+        body: text.as_bytes().to_vec(),
+    }
+}
+
+#[test]
+fn dirty_color_is_annotated_and_retried_but_corruption_is_a_plain_500() {
+    use mct_server::server::handle_request;
+    use mct_storage::{PageId, PAGE_SIZE};
+    let _guard = test_lock();
+
+    // A color left dirty behind the server's back: the read reports
+    // `NotAnnotated`, the handler re-annotates under the write lock and
+    // answers on the retry.
+    let expected = direct_xml(&mut movies_store(), Q_MOVIES);
+    let handle = start(ServerConfig::default());
+    {
+        let mut db = handle
+            .state()
+            .db
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        let red = db.db.color("red").unwrap();
+        let genre = db.postings_named(red, "movie-genre").unwrap()[0].node;
+        let note = db.db.new_element("note", red);
+        db.db.append_child(genre, note, red);
+        assert!(db.db.is_dirty(red));
+    }
+    let resp = handle_request(handle.state(), &post_query(Q_MOVIES));
+    assert_eq!(resp.status, 200, "{}", String::from_utf8_lossy(&resp.body));
+    assert_eq!(String::from_utf8_lossy(&resp.body), expected);
+    let red = handle.state().db.read().unwrap().db.color("red").unwrap();
+    assert!(
+        !handle.state().db.read().unwrap().db.is_dirty(red),
+        "the retry annotated"
+    );
+    handle.shutdown();
+
+    // Real corruption is not retryable: every page fails its checksum,
+    // and the query gets a 500 naming the corruption.
+    let (stored, _injector) = faulted_store();
+    let handle = serve(stored, ServerConfig::default()).expect("server starts");
+    {
+        let mut db = handle
+            .state()
+            .db
+            .write()
+            .unwrap_or_else(PoisonError::into_inner);
+        db.pool.evict_all().unwrap();
+        for page in 0..db.pool.num_pages() {
+            db.pool
+                .disk_mut()
+                .flip_bit(PageId(page), (PAGE_SIZE / 2) * 8 + 3)
+                .unwrap();
+        }
+    }
+    let resp = handle_request(handle.state(), &post_query(Q_MOVIES));
+    let body = String::from_utf8_lossy(&resp.body);
+    assert_eq!(resp.status, 500, "{body}");
+    assert!(body.starts_with("execution failed: corrupt page"), "{body}");
+    handle.shutdown();
+}

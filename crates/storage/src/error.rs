@@ -36,6 +36,11 @@ pub enum StorageError {
     /// The operation was cancelled cooperatively (deadline exceeded or
     /// an explicit cancel) before it completed.
     Cancelled,
+    /// A read needs a colored tree's interval codes, but an update left
+    /// that color dirty and nothing has re-annotated it yet. Retryable
+    /// after annotating; unlike [`StorageError::Corrupt`], no stored
+    /// byte is wrong.
+    NotAnnotated,
 }
 
 impl fmt::Display for StorageError {
@@ -54,6 +59,12 @@ impl fmt::Display for StorageError {
             StorageError::PoolExhausted => write!(f, "buffer pool exhausted (all frames pinned)"),
             StorageError::Corrupt(what) => write!(f, "corrupt page: {what}"),
             StorageError::Cancelled => write!(f, "operation cancelled"),
+            StorageError::NotAnnotated => {
+                write!(
+                    f,
+                    "color tree not annotated; call prepare/ensure_all_annotated first"
+                )
+            }
         }
     }
 }

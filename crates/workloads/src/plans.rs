@@ -246,7 +246,7 @@ fn tq3<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R
             let lines = last_col(children_named(s, orders, 0, cust, "orderline"));
             let lines = cross_tree_op(s, lines, 0, auth)?;
             let items = parents(s, lines, 0, auth);
-            let items = dup_elim(items, &[0]);
+            let items = dup_elim(items, 0);
             distinct_by_title(s, items)
         }
         SchemaKind::Shallow => {
@@ -269,7 +269,7 @@ fn tq3<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R
                 &items, 0, &KeySpec::Attr("id".into()),
             )?;
             let items_only = last_col(j3);
-            let items_only = dup_elim(items_only, &[0]);
+            let items_only = dup_elim(items_only, 0);
             distinct_by_title(s, items_only)
         }
         SchemaKind::Deep => {
@@ -320,7 +320,7 @@ fn tq5<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R
         .into_iter()
         .filter(|t| s.db.name_str(t[0].node) == Some("customer"))
         .collect();
-    Ok(dup_elim(custs, &[0]).len())
+    Ok(dup_elim(custs, 0).len())
 }
 
 fn tq6<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> R<usize> {
@@ -417,7 +417,7 @@ fn tq10<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> 
             let lines = cross_tree_op(s, lines, 0, auth)?;
             let items = parents(s, lines, 0, auth);
             let authors = parents(s, items, 0, auth);
-            let authors = dup_elim(authors, &[0]);
+            let authors = dup_elim(authors, 0);
             Ok(authors.len())
         }
         SchemaKind::Shallow => {
@@ -446,7 +446,7 @@ fn tq10<D: DiskManager>(s: &mut StoredDb<D>, schema: SchemaKind, p: &Params) -> 
                 &authors, 0, &KeySpec::Attr("id".into()),
             )?;
             let a = last_col(j4);
-            Ok(dup_elim(a, &[0]).len())
+            Ok(dup_elim(a, 0).len())
         }
         SchemaKind::Deep => {
             let c = color(s, "black");

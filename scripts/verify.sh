@@ -37,6 +37,20 @@ par_out=$(cargo run --release --offline --bin mctq -- \
     || { echo "FAIL: --threads 4 output differs from --threads 1"; exit 1; }
 echo "$par_out" | grep -q "result(s) via planner" \
     || { echo "FAIL: parallel smoke produced no planner results"; exit 1; }
+# At scale 0.05 the query above has ~65 chain roots, below the
+# 2 x MIN_MORSEL = 128 the morsel executor needs before it fans out, so
+# both runs take one morsel. TQ9's chain has 500 item roots at scale
+# 0.5, so --threads 4 really splits it (and tests its predicate on
+# worker threads).
+TQ9_QUERY='document("t")/{auth}descendant::item[{auth}child::cost > 10000]/{auth}child::orderline'
+seq_out=$(cargo run --release --offline --bin mctq -- \
+    --db tpcw --scale 0.5 --plan-exec --threads 1 "$TQ9_QUERY" 2>/dev/null)
+par_out=$(cargo run --release --offline --bin mctq -- \
+    --db tpcw --scale 0.5 --plan-exec --threads 4 "$TQ9_QUERY" 2>/dev/null)
+[ "$seq_out" = "$par_out" ] \
+    || { echo "FAIL: TQ9 --threads 4 output differs from --threads 1"; exit 1; }
+echo "$par_out" | grep -q "^[1-9][0-9]* result(s) via planner" \
+    || { echo "FAIL: TQ9 parallel smoke produced no planner results"; exit 1; }
 
 echo "==> concurrent buffer-pool stress"
 RUST_BACKTRACE=1 cargo test -p mct-storage --test concurrent_pool --offline -q

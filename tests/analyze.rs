@@ -1,7 +1,8 @@
 //! EXPLAIN ANALYZE integration tests against the TPC-W MCT database:
 //! the per-operator actuals must agree with the real result
 //! cardinality, a warm re-run must hit only the buffer pool, page
-//! counts must not pick up concurrent queries' pages, and the ANALYZE
+//! counts must not pick up concurrent queries' pages, chain predicates
+//! must cost one heap page per node the join pushes, and the ANALYZE
 //! tree must share the EXPLAIN renderer's shape.
 
 use colorful_xml::core::StoredDb;
@@ -10,12 +11,15 @@ use colorful_xml::query::Expr;
 use colorful_xml::query::{parse_query, Tuple};
 use colorful_xml::workloads::{TpcwConfig, TpcwData};
 
-fn stored() -> StoredDb {
-    let data = TpcwData::generate(&TpcwConfig {
+fn data() -> TpcwData {
+    TpcwData::generate(&TpcwConfig {
         scale: 0.05,
         seed: 31,
-    });
-    StoredDb::build(data.build_mct(), 64 * 1024 * 1024).unwrap()
+    })
+}
+
+fn stored() -> StoredDb {
+    StoredDb::build(data().build_mct(), 64 * 1024 * 1024).unwrap()
 }
 
 fn planned(s: &StoredDb, text: &str) -> PathPlan {
@@ -133,4 +137,61 @@ fn concurrent_reports_count_only_their_own_pages() {
             });
         }
     });
+}
+
+/// Page accesses of the (single) chain stage of `text`, one thread.
+fn chain_pages(s: &mut StoredDb, text: &str) -> u64 {
+    let (_, report) = planned(s, text).execute_analyze(s).unwrap();
+    let chains: Vec<_> = report
+        .stages
+        .iter()
+        .filter(|st| st.label.starts_with("holistic chain join"))
+        .collect();
+    assert_eq!(chains.len(), 1, "{text}");
+    chains[0].pool.accesses()
+}
+
+#[test]
+fn chain_predicate_is_tested_once_per_pushed_node() {
+    // The TQ9 shape: every item is a chain root, so each is tested
+    // exactly once (one heap page for its `cost` child) no matter how
+    // many order lines join below it; the rest is the two posting scans.
+    let mut s = stored();
+    let auth = s.db.color("auth").unwrap();
+    let items = s.postings_named(auth, "item").unwrap().len() as u64;
+    let tq9 = chain_pages(
+        &mut s,
+        r#"document("t")/{auth}descendant::item[{auth}child::cost > 10000]/{auth}child::orderline"#,
+    );
+    let item_scan = chain_pages(&mut s, r#"document("t")/{auth}descendant::item"#);
+    let line_scan = chain_pages(&mut s, r#"document("t")/{auth}descendant::orderline"#);
+    assert!(items > 0);
+    assert_eq!(tq9, item_scan + line_scan + items);
+}
+
+#[test]
+fn chain_predicate_skips_nodes_no_matching_path_reaches() {
+    // Orders are tested (one heap page each for `status`) only under
+    // the addresses the content-index entry matched, never all orders.
+    let data = data();
+    let city = data.addresses[0].city.clone();
+    let mut s = StoredDb::build(data.build_mct(), 64 * 1024 * 1024).unwrap();
+    let ship = s.db.color("ship").unwrap();
+    let all_orders = s.postings_named(ship, "order").unwrap().len() as u64;
+    let address =
+        format!(r#"document("t")/{{ship}}descendant::address[{{ship}}child::city = "{city}"]"#);
+    let under = planned(&s, &format!("{address}/{{ship}}child::order"))
+        .execute(&mut s)
+        .unwrap()
+        .len() as u64;
+    assert!(0 < under && under < all_orders, "{under} of {all_orders}");
+    let chain = chain_pages(
+        &mut s,
+        &format!(
+            r#"{address}/{{ship}}child::order[{{ship}}child::status = "SHIPPED"]/{{ship}}child::orderline"#
+        ),
+    );
+    let order_scan = chain_pages(&mut s, r#"document("t")/{ship}descendant::order"#);
+    let line_scan = chain_pages(&mut s, r#"document("t")/{ship}descendant::orderline"#);
+    assert_eq!(chain, order_scan + line_scan + under);
 }
